@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build test vet lint lint-json race bench bench-campaign bench-bitset bench-fuzz bench-fuzz-ipc chaos ipc-chaos fuzz fuzz-ipc
+.PHONY: tier1 build test vet lint lint-json race bench bench-campaign bench-bitset bench-fuzz bench-fuzz-ipc perfbench chaos ipc-chaos fuzz fuzz-ipc
 
 # tier1 is the merge gate: everything must build, vet and deltalint clean,
 # and pass the test suite under the race detector.
@@ -63,6 +63,17 @@ bench-fuzz:
 # flags ⊇ runtime quiescence core — to BENCH_ipc_fuzz.json (CI artifact).
 bench-fuzz-ipc:
 	$(GO) run ./cmd/deltasim -fuzz-ipc -fuzz-seeds 12500 -fuzz-report BENCH_ipc_fuzz.json
+
+# perfbench runs one workload of the repository benchmark (BENCHMARK.json)
+# for 20 s and prints its JSON result line: W names the workload
+# (fuzz-sweep, lint-module, chaos-soc, detect-stream), SEED its seed, and
+# TRACE=1 selects the traced run with the per-layer split.  Run it on two
+# commits for a before/after, e.g. `make perfbench W=fuzz-sweep SEED=1`.
+W ?= fuzz-sweep
+SEED ?= 1
+TRACE ?= 0
+perfbench:
+	python3 _perfbench/run.py --workload $(W) --seed $(SEED) --seconds 20 --trace $(TRACE)
 
 # fuzz is the generative-scenario smoke: a small seed budget under the race
 # detector with a parallel pool, so the chunked streaming aggregation is

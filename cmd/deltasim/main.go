@@ -14,6 +14,7 @@
 //	deltasim -bench-bitset BENCH_bitset.json
 //	deltasim -fuzz -fuzz-seeds 12500 -fuzz-report BENCH_fuzz.json -parallel 8
 //	deltasim -fuzz-ipc -fuzz-seeds 2000 -fuzz-report BENCH_ipc_fuzz.json -parallel 8
+//	deltasim -fuzz -fuzz-seeds 500 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // -parallel shards independent runs — the seeds of a -chaos campaign and
 // the experiments of -all — across a worker pool (default: all cores).
@@ -26,6 +27,9 @@
 // -metrics writes machine-readable per-experiment summaries: the rendered
 // table rows plus the cycle-attributed counters the tracing layer collected.
 // Both flags are valid for any -exp or -all selection.
+//
+// -cpuprofile and -memprofile write runtime/pprof profiles covering the
+// whole run, for any mode; read them with `go tool pprof -top`.
 package main
 
 import (
@@ -40,7 +44,11 @@ import (
 	"deltartos/internal/trace"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the command body; it returns the exit status so the deferred
+// profile writers run on every path.
+func run() (code int) {
 	list := flag.Bool("list", false, "list available experiments")
 	exp := flag.String("exp", "", "run one experiment by id (e.g. table1, fig15)")
 	all := flag.Bool("all", false, "run every experiment")
@@ -68,27 +76,43 @@ func main() {
 	fuzzBaseSeed := flag.Uint64("fuzz-base-seed", 1, "with -fuzz: first seed of the sweep")
 	fuzzReport := flag.String("fuzz-report", "", "with -fuzz: write the machine-readable sweep report (BENCH_fuzz.json) to this file")
 	fuzzIPC := flag.Bool("fuzz-ipc", false, "run the generative IPC-topology sweep (wedge probability vs message loss); reuses -fuzz-seeds, -fuzz-base-seed and -fuzz-report")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
+	memProfile := flag.String("memprofile", "", "write an allocation profile of the whole run to this file when it ends")
 	flag.Parse()
+
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "deltasim:", err)
+		return 1
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintln(os.Stderr, "deltasim:", err)
+			if code == 0 {
+				code = 1
+			}
+		}
+	}()
 
 	if *vcdPath != "" && *exp != "fig20" {
 		fmt.Fprintln(os.Stderr, "deltasim: -vcd is only valid together with -exp fig20")
-		os.Exit(2)
+		return 2
 	}
 
 	if *benchPath != "" {
 		if err := runBenchCampaign(*benchPath, *parallel); err != nil {
 			fmt.Fprintln(os.Stderr, "deltasim: bench-campaign:", err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	if *benchBitsetPath != "" {
 		if err := runBenchBitset(*benchBitsetPath); err != nil {
 			fmt.Fprintln(os.Stderr, "deltasim: bench-bitset:", err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	var session *trace.Session
@@ -103,12 +127,12 @@ func main() {
 	case *fuzzIPC:
 		if err := runIPCFuzz(*fuzzSeeds, *fuzzBaseSeed, *fuzzReport, *parallel); err != nil {
 			fmt.Fprintln(os.Stderr, "deltasim: fuzz-ipc:", err)
-			os.Exit(1)
+			return 1
 		}
 	case *fuzzRun:
 		if err := runFuzz(*fuzzSeeds, *fuzzBaseSeed, *fuzzReport, *parallel); err != nil {
 			fmt.Fprintln(os.Stderr, "deltasim: fuzz:", err)
-			os.Exit(1)
+			return 1
 		}
 	case *ipcChaos:
 		cfg := experiments.DefaultIPCChaosConfig()
@@ -119,7 +143,7 @@ func main() {
 		rc := &experiments.RunCtx{Parallel: *parallel, Session: session, Label: "ipc-chaos"}
 		if err := runIPCChaos(cfg, rc, collect, &summaries); err != nil {
 			fmt.Fprintln(os.Stderr, "deltasim: ipc-chaos:", err)
-			os.Exit(1)
+			return 1
 		}
 	case *chaos:
 		cfg := experiments.DefaultChaosConfig()
@@ -130,7 +154,7 @@ func main() {
 		rc := &experiments.RunCtx{Parallel: *parallel, Session: session, Label: "chaos"}
 		if err := runChaos(cfg, rc, collect, &summaries); err != nil {
 			fmt.Fprintln(os.Stderr, "deltasim: chaos:", err)
-			os.Exit(1)
+			return 1
 		}
 	case *list:
 		for _, e := range experiments.All() {
@@ -140,7 +164,7 @@ func main() {
 		e, ok := experiments.Find(*exp)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "deltasim: unknown experiment %q (try -list)\n", *exp)
-			os.Exit(2)
+			return 2
 		}
 		rc := &experiments.RunCtx{Parallel: *parallel, Session: session, Label: e.ID}
 		var err error
@@ -151,7 +175,7 @@ func main() {
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "deltasim: %s: %v\n", e.ID, err)
-			os.Exit(1)
+			return 1
 		}
 	case *all:
 		failed := 0
@@ -168,25 +192,26 @@ func main() {
 			fmt.Println()
 		}
 		if failed > 0 {
-			os.Exit(1)
+			return 1
 		}
 	default:
 		flag.Usage()
-		os.Exit(2)
+		return 2
 	}
 
 	if *tracePath != "" {
 		if err := writeTrace(*tracePath, session); err != nil {
 			fmt.Fprintln(os.Stderr, "deltasim:", err)
-			os.Exit(1)
+			return 1
 		}
 	}
 	if *metricsPath != "" {
 		if err := writeMetrics(*metricsPath, summaries); err != nil {
 			fmt.Fprintln(os.Stderr, "deltasim:", err)
-			os.Exit(1)
+			return 1
 		}
 	}
+	return 0
 }
 
 // runOne executes an experiment, prints its table, and (when requested)

@@ -2,6 +2,7 @@ package passes
 
 import (
 	"go/token"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -61,84 +62,107 @@ func runLockOrder(pass *Pass) (any, error) {
 				c.Scope, c.Path)
 		}
 	}
-	sort.Slice(res.Cycles, func(i, j int) bool {
-		if res.Cycles[i].Scope != res.Cycles[j].Scope {
-			return res.Cycles[i].Scope < res.Cycles[j].Scope
-		}
-		return strings.Join(res.Cycles[i].Nodes, ",") < strings.Join(res.Cycles[j].Nodes, ",")
-	})
+	sortCycles(res.Cycles)
 	return res, nil
+}
+
+// sortCycles sorts cs in place by scope, then by the comma-joined node
+// list.  Each cycle's key is joined once rather than inside every
+// comparison: a dense scope can hold 10⁵ cycles.
+func sortCycles(cs []LockCycle) {
+	type keyed struct {
+		LockCycle
+		key string
+	}
+	ks := make([]keyed, len(cs))
+	for i, c := range cs {
+		ks[i] = keyed{c, strings.Join(c.Nodes, ",")}
+	}
+	sort.Slice(ks, func(i, j int) bool {
+		if ks[i].Scope != ks[j].Scope {
+			return ks[i].Scope < ks[j].Scope
+		}
+		return ks[i].key < ks[j].key
+	})
+	for i := range ks {
+		cs[i] = ks[i].LockCycle
+	}
 }
 
 // findCycles enumerates the distinct simple cycles of a scope's lock-order
 // graph.  Cycles are canonicalized (rotated to start at the smallest node)
-// and deduplicated, so each set of conflicting locks is reported once.
+// and reported once each.
+//
+// Lock keys are numbered in sorted order, so index order is key order.
+// The DFS from each start node only extends through larger nodes, which
+// finds every cycle exactly once, from its smallest node: the path is
+// already canonical and, with duplicate-free adjacency, needs no dedup.
 func findCycles(scope *lockScope) []LockCycle {
-	// Adjacency over canonical keys; remember a witness edge per pair.
-	adj := map[string][]string{}
-	edgeAt := map[string]lockEdge{}
 	display := map[string]string{}
 	for _, e := range scope.edges {
-		adj[e.from.key] = append(adj[e.from.key], e.to.key)
-		edgeAt[e.from.key+"->"+e.to.key] = e
 		display[e.from.key] = e.from.display
 		display[e.to.key] = e.to.display
 	}
-	var nodes []string
-	for n := range adj {
-		nodes = append(nodes, n)
+	keys := make([]string, 0, len(display))
+	for k := range display {
+		keys = append(keys, k)
 	}
-	sort.Strings(nodes)
-	for _, n := range nodes {
-		sort.Strings(adj[n])
+	sort.Strings(keys)
+	index := make(map[string]int, len(keys))
+	for i, k := range keys {
+		index[k] = i
+	}
+	// Adjacency over key indices; remember a witness edge per pair.
+	adj := make([][]int, len(keys))
+	edgeAt := map[[2]int]lockEdge{}
+	for _, e := range scope.edges {
+		from, to := index[e.from.key], index[e.to.key]
+		adj[from] = append(adj[from], to)
+		edgeAt[[2]int{from, to}] = e
+	}
+	for v := range adj {
+		sort.Ints(adj[v])
+		adj[v] = slices.Compact(adj[v])
 	}
 
-	seen := map[string]bool{}
 	var out []LockCycle
-	var path []string
-	onPath := map[string]bool{}
+	var path []int
+	onPath := make([]bool, len(keys))
 
-	record := func(cycle []string) {
-		// Rotate to smallest node for a canonical form.
-		min := 0
-		for i := range cycle {
-			if cycle[i] < cycle[min] {
-				min = i
-			}
-		}
-		canon := append(append([]string(nil), cycle[min:]...), cycle[:min]...)
-		id := strings.Join(canon, "->")
-		if seen[id] {
+	record := func() {
+		// Self-edges cannot exist (addEdge drops them), but guard anyway.
+		if len(path) < 2 {
 			return
 		}
-		seen[id] = true
-		var parts []string
-		for _, k := range canon {
-			parts = append(parts, display[k])
+		nodes := make([]string, len(path))
+		var b strings.Builder
+		for i, v := range path {
+			nodes[i] = keys[v]
+			b.WriteString(display[keys[v]])
+			b.WriteString(" -> ")
 		}
-		parts = append(parts, display[canon[0]])
-		first := edgeAt[canon[0]+"->"+canon[1%len(canon)]]
-		pos := first.pos
+		b.WriteString(display[keys[path[0]]])
+		pos := edgeAt[[2]int{path[0], path[1]}].pos
 		if pos == token.NoPos {
 			pos = scope.pos
 		}
 		out = append(out, LockCycle{
 			Scope:    scope.fn,
 			Expected: scope.expected,
-			Nodes:    canon,
-			Path:     strings.Join(parts, " -> "),
+			Nodes:    nodes,
+			Path:     b.String(),
 			Pos:      pos,
 		})
 	}
 
-	var dfs func(start, cur string)
-	dfs = func(start, cur string) {
+	var dfs func(start, cur int)
+	dfs = func(start, cur int) {
 		for _, next := range adj[cur] {
 			if next == start {
-				record(append([]string(nil), path...))
+				record()
 				continue
 			}
-			// Only extend through nodes >= start so each cycle is found
+			// Only extend through nodes > start so each cycle is found
 			// from its smallest node exactly once.
 			if next < start || onPath[next] {
 				continue
@@ -147,25 +171,15 @@ func findCycles(scope *lockScope) []LockCycle {
 			path = append(path, next)
 			dfs(start, next)
 			path = path[:len(path)-1]
-			delete(onPath, next)
+			onPath[next] = false
 		}
 	}
-	for _, n := range nodes {
-		onPath[n] = true
-		path = append(path, n)
-		dfs(n, n)
-		path = path[:0]
-		delete(onPath, n)
+	for v := range keys {
+		onPath[v] = true
+		path = append(path[:0], v)
+		dfs(v, v)
+		onPath[v] = false
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return strings.Join(out[i].Nodes, ",") < strings.Join(out[j].Nodes, ",")
-	})
-	// Self-edges cannot exist (addEdge drops them), but guard anyway.
-	var filtered []LockCycle
-	for _, c := range out {
-		if len(c.Nodes) > 1 {
-			filtered = append(filtered, c)
-		}
-	}
-	return filtered
+	sortCycles(out) // one scope: by node list
+	return out
 }

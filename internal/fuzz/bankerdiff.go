@@ -31,6 +31,13 @@ type BankerDiffResult struct {
 // the task at its crash point, stranding what it holds; releases of
 // resources not held (lost-release doubles, refused acquires) are skipped.
 func BankerDiff(sc *Scenario, st *Static) BankerDiffResult {
+	var es ExecScratch
+	return BankerDiffWith(&es, sc, st)
+}
+
+// BankerDiffWith is BankerDiff with the replay's per-task tables in es, so
+// a chunk of seeds reuses them.
+func BankerDiffWith(es *ExecScratch, sc *Scenario, st *Static) BankerDiffResult {
 	cfg := sc.Cfg
 	var out BankerDiffResult
 
@@ -56,11 +63,9 @@ func BankerDiff(sc *Scenario, st *Static) BankerDiffResult {
 		}
 	}
 
-	pc := make([]int, cfg.Tasks)
-	held := make([][]bool, cfg.Tasks)
-	for t := range held {
-		held[t] = make([]bool, cfg.Resources)
-	}
+	es.pc = zeroed(es.pc, cfg.Tasks)
+	es.held = zeroed(es.held, cfg.Tasks*cfg.Resources)
+	pc, held := es.pc, es.held
 	mismatch := func(format string, args ...any) {
 		if out.Mismatch == "" {
 			out.Mismatch = fmt.Sprintf("seed %d: banker-diff: ", sc.Seed) + fmt.Sprintf(format, args...)
@@ -84,8 +89,9 @@ func BankerDiff(sc *Scenario, st *Static) BankerDiffResult {
 			op := prog.Ops[pc[t]]
 			pc[t]++
 			progress = true
+			holds := &held[t*cfg.Resources+op.Res]
 			if op.Acquire {
-				if held[t][op.Res] {
+				if *holds {
 					continue
 				}
 				fastGrant, fastErr := fast.Request(t, op.Res)
@@ -100,9 +106,9 @@ func BankerDiff(sc *Scenario, st *Static) BankerDiffResult {
 					return out
 				}
 				if fastGrant {
-					held[t][op.Res] = true
+					*holds = true
 				}
-			} else if held[t][op.Res] {
+			} else if *holds {
 				if err := fast.Release(t, op.Res); err != nil {
 					mismatch("bitset release p%d q%d: %v", t, op.Res, err)
 					return out
@@ -111,7 +117,7 @@ func BankerDiff(sc *Scenario, st *Static) BankerDiffResult {
 					mismatch("ref release p%d q%d: %v", t, op.Res, err)
 					return out
 				}
-				held[t][op.Res] = false
+				*holds = false
 			}
 		}
 		if !progress {

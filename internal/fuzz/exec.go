@@ -9,6 +9,7 @@ package fuzz
 
 import (
 	"fmt"
+	"slices"
 
 	"deltartos/internal/pdda"
 	"deltartos/internal/rag"
@@ -99,11 +100,37 @@ type taskState struct {
 	blockedRounds int // rounds spent with the acquire outstanding
 }
 
-// ExecScratch holds the executor's reusable detection buffers.  One scratch
-// serves any number of consecutive Exec runs; the sweep keeps one per chunk
-// so the periodic PDDA scans of 10⁶ seeds allocate nothing.
+// ExecScratch holds the executor's reusable buffers.  One scratch serves
+// any number of consecutive Exec runs; the sweep keeps one per chunk so the
+// periodic PDDA scans of 10⁶ seeds allocate nothing.  The zero value is
+// ready to use.
 type ExecScratch struct {
-	det pdda.Scratch
+	det   pdda.Scratch
+	mx    *rag.Matrix // state-matrix copy for Validate, resized per geometry
+	tasks []taskState
+	pc    []int  // BankerDiff replay: per-task program counter
+	held  []bool // BankerDiff replay: held[t*m+r], task t holds resource r
+}
+
+// zeroed returns buf resized to n zero elements, allocating only when its
+// capacity is short.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// matrix copies g's state matrix into the scratch matrix and returns it.
+func (es *ExecScratch) matrix(g *rag.Graph) *rag.Matrix {
+	m, n := g.Size()
+	if es.mx == nil || es.mx.M != m || es.mx.N != n {
+		es.mx = rag.NewMatrix(m, n)
+	}
+	g.MatrixInto(es.mx)
+	return es.mx
 }
 
 // Exec runs a scenario to a terminal state with a private scratch.
@@ -120,23 +147,13 @@ func Exec(sc *Scenario, st *Static, oracleAll bool) ExecResult {
 func ExecWith(es *ExecScratch, sc *Scenario, st *Static, oracleAll bool) ExecResult {
 	cfg := sc.Cfg
 	g := rag.NewGraph(cfg.Resources, cfg.Tasks)
-	tasks := make([]taskState, cfg.Tasks)
+	es.tasks = zeroed(es.tasks, cfg.Tasks)
+	tasks := es.tasks
 	res := ExecResult{FormRound: -1, DetectRound: -1}
 
 	mismatch := func(format string, args ...any) {
 		if res.MismatchAt == "" {
 			res.MismatchAt = fmt.Sprintf("seed %d: ", sc.Seed) + fmt.Sprintf(format, args...)
-		}
-	}
-
-	// The claims audit: the runtime held-union per task must stay inside
-	// the statically derived claim set.  Acquisition order is audited at
-	// grant time below.
-	claimed := make([][]bool, cfg.Tasks)
-	for t := range claimed {
-		claimed[t] = make([]bool, cfg.Resources)
-		for _, r := range st.Claims(t) {
-			claimed[t][r] = true
 		}
 	}
 
@@ -176,7 +193,9 @@ func ExecWith(es *ExecScratch, sc *Scenario, st *Static, oracleAll bool) ExecRes
 					if err := g.SetGrant(op.Res, t); err != nil {
 						mismatch("grant q%d to p%d: %v", op.Res, t, err)
 					}
-					if !claimed[t][op.Res] {
+					// The claims audit: the runtime held-union per task
+					// must stay inside the statically derived claim set.
+					if !slices.Contains(st.Claims(t), op.Res) {
 						mismatch("p%d acquired q%d outside its static claim set", t, op.Res)
 					}
 					ts.blocked = false
@@ -216,7 +235,7 @@ func ExecWith(es *ExecScratch, sc *Scenario, st *Static, oracleAll bool) ExecRes
 				if want := pdda.DetectGraphCells(g); deadlock != want {
 					mismatch("round %d: bitset engine=%v, cell engine=%v", round, deadlock, want)
 				}
-				if err := g.Matrix().Validate(); err != nil {
+				if err := es.matrix(g).Validate(); err != nil {
 					mismatch("round %d: %v", round, err)
 				}
 			}
@@ -260,7 +279,7 @@ func ExecWith(es *ExecScratch, sc *Scenario, st *Static, oracleAll bool) ExecRes
 	if got, want := g.DeadlockedProcesses(), g.DeadlockedProcessesRef(); !intSliceEq(got, want) {
 		mismatch("terminal: deadlocked set %v, per-cell ref %v", got, want)
 	}
-	if err := g.Matrix().Validate(); err != nil {
+	if err := es.matrix(g).Validate(); err != nil {
 		mismatch("terminal: %v", err)
 	}
 	res.Rounds = round

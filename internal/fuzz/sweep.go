@@ -224,7 +224,7 @@ func RunSweep(sw Sweep, workers int) (*Report, error) {
 		job := jobs[j]
 		agg := &aggs[j]
 		gen := sw.Points[job.point].Gen
-		var es ExecScratch // detection buffers shared by the chunk's seeds
+		var es ExecScratch // executor and replay buffers shared by the chunk's seeds
 		for k := 0; k < job.count; k++ {
 			seed := job.seedLo + uint64(k)
 			idx := job.indexLo + k
@@ -239,7 +239,7 @@ func RunSweep(sw Sweep, workers int) (*Report, error) {
 			// The Banker differential: replay the seed's traffic through the
 			// bitset Banker and the per-cell RefBanker, comparing every
 			// grant/refuse decision.
-			bd := BankerDiff(sc, st)
+			bd := BankerDiffWith(&es, sc, st)
 			agg.BankerChecked++
 			agg.BankerDecisions += bd.Decisions
 			if bd.Mismatch != "" {

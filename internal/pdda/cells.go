@@ -82,7 +82,8 @@ func DetectCells(mx *rag.Matrix) bool {
 // DetectGraphCells runs the per-cell engine on a Graph, constructing the
 // state matrix one cell at a time through the per-cell graph API (never the
 // packed word copies of MatrixInto) so the whole oracle path is independent
-// of the bitset engine.
+// of the bitset engine.  The matrix is private to the call, so it is
+// reduced in place rather than through DetectCells' working copy.
 func DetectGraphCells(g *rag.Graph) bool {
 	m, n := g.Size()
 	mx := rag.NewMatrix(m, n)
@@ -96,5 +97,13 @@ func DetectGraphCells(g *rag.Graph) bool {
 			mx.Set(s, h, rag.Grant)
 		}
 	}
-	return DetectCells(mx)
+	ReduceCells(mx)
+	for s := 0; s < m; s++ {
+		for t := 0; t < n; t++ {
+			if mx.Get(s, t) != rag.None {
+				return true
+			}
+		}
+	}
+	return false
 }
