@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build test vet lint lint-json race bench bench-campaign bench-bitset bench-fuzz bench-fuzz-ipc perfbench chaos ipc-chaos fuzz fuzz-ipc
+.PHONY: tier1 build test vet lint lint-json race examples bench bench-campaign bench-bitset bench-fuzz bench-fuzz-ipc perfbench chaos ipc-chaos fuzz fuzz-ipc
 
 # tier1 is the merge gate: everything must build, vet and deltalint clean,
 # and pass the test suite under the race detector.
@@ -32,6 +32,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# examples runs every program under examples/ and fails on the first one
+# that exits nonzero, so an API change that breaks an example (each one
+# log.Fatals on an unexpected result) cannot pass on a clean build alone.
+examples:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem

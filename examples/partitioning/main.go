@@ -1,8 +1,10 @@
-// Partitioning: the δ framework's central design decision as one API.  The
-// same resource-usage tape runs under all four deadlock configurations of
-// Table 3 (detection/avoidance × software/hardware) through core.Manager;
-// detection systems hit the deadlock and recover, avoidance systems steer
-// around it, and the per-event algorithm cost shows the hardware win.
+// Partitioning: the δ framework's central design decision, one row per
+// deadlock configuration of Table 3 (detection/avoidance × software/
+// hardware).  The same app package runs each system: RTOS1/RTOS2 plug a
+// PDDA or DDU Detector into the Table 4 detection scenario, which reaches
+// the deadlock and reports it; RTOS3/RTOS4 plug a DAA or DAU backend into
+// the Table 6 grant-deadlock scenario, which steers around it.  The
+// per-invocation algorithm cost shows the hardware win.
 //
 // Run with: go run ./examples/partitioning
 package main
@@ -11,88 +13,58 @@ import (
 	"fmt"
 	"log"
 
-	"deltartos/internal/core"
+	"deltartos/internal/app"
 )
 
-// The tape: p1 takes q1, p2 takes q2, p2 wants q1 (queued), p1 wants q2 —
-// the classic hold-and-wait square.
-var tape = []struct {
-	p, q    int
-	release bool
-}{
-	{p: 0, q: 0},
-	{p: 1, q: 1},
-	{p: 1, q: 0},
-	{p: 0, q: 1},
-}
+const rowFormat = "%-6s %-18s %-12s %-12s %-12s %s\n"
 
 func main() {
-	fmt.Printf("%-28s %-10s %-10s %-12s %-12s %s\n",
-		"strategy", "deadlock?", "avoided?", "recovered?", "alg cycles", "notes")
-	for _, s := range []core.Strategy{
-		core.DetectSoftware, core.DetectHardware,
-		core.AvoidSoftware, core.AvoidHardware,
-	} {
-		runTape(s)
-	}
-}
-
-func runTape(s core.Strategy) {
-	m, err := core.New(core.Config{Strategy: s, Procs: 2, Resources: 2})
-	if err != nil {
-		log.Fatal(err)
-	}
-	m.SetPriority(0, 1)
-	m.SetPriority(1, 2)
-
-	sawDeadlock, sawAvoidance := false, false
-	for _, op := range tape {
-		res, err := m.Request(op.p, op.q)
+	fmt.Printf(rowFormat, "system", "mechanism", "invocations", "alg cycles", "app cycles", "outcome")
+	detect("RTOS1", func() app.Detector { return &app.SoftwareDetector{} })
+	detect("RTOS2", func() app.Detector {
+		d, err := app.NewHardwareDetector(5, 5)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if res.Deadlock {
-			sawDeadlock = true
-		}
-		//deltalint:partial Granted and Queued need no reaction from the driver
-		switch res.Outcome {
-		case core.Refused:
-			sawAvoidance = true
-			if _, err := m.GiveUp(op.p); err != nil {
-				log.Fatal(err)
-			}
-		case core.OwnerAsked:
-			sawAvoidance = true
-			if _, err := m.GiveUp(res.AskedProcess); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-
-	recovered := "n/a"
-	note := ""
-	if sawDeadlock {
-		rec, err := m.Recover()
+		return d
+	})
+	avoid("RTOS3", func() app.AvoidanceBackend {
+		b, err := app.NewSoftwareAvoidance(5, 5)
 		if err != nil {
 			log.Fatal(err)
 		}
-		recovered = fmt.Sprint(rec.Resolved)
-		note = fmt.Sprintf("victim p%d preempted, q%d regranted",
-			rec.Victims[0]+1, firstKey(rec.Regranted)+1)
-	} else if sawAvoidance {
-		note = "give-up protocol resolved the conflict before commit"
-	}
-	if m.Deadlocked() {
-		log.Fatalf("%v: still deadlocked at end", s)
-	}
-	st := m.Stats()
-	fmt.Printf("%-28s %-10v %-10v %-12s %-12d %s\n",
-		s, sawDeadlock, sawAvoidance, recovered, st.TotalCost, note)
+		return b
+	})
+	avoid("RTOS4", func() app.AvoidanceBackend {
+		b, err := app.NewHardwareAvoidance(5, 5)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return b
+	})
 }
 
-func firstKey(m map[int]int) int {
-	for k := range m {
-		return k
+// detect runs the detection scenario, which must end in a detected deadlock.
+func detect(system string, mkDet func() app.Detector) {
+	r := app.RunDetectionScenario(mkDet)
+	if !r.DeadlockFound {
+		log.Fatalf("%s: %s missed the grant deadlock", system, r.Mechanism)
 	}
-	return -1
+	outcome := "deadlock detected:"
+	for _, p := range r.DeadlockedProcs {
+		outcome += fmt.Sprintf(" p%d", p+1)
+	}
+	fmt.Printf(rowFormat, system, r.Mechanism, fmt.Sprint(r.Invocations),
+		fmt.Sprintf("%.2f", r.AvgDetectCycles), fmt.Sprint(r.AppCycles), outcome)
+}
+
+// avoid runs the grant-deadlock scenario, which must complete without one.
+func avoid(system string, mkBackend func() app.AvoidanceBackend) {
+	r := app.RunGrantDeadlockScenario(mkBackend)
+	if !r.Completed || !r.GDlAvoided {
+		log.Fatalf("%s: %s did not avoid the grant deadlock: %+v", system, r.Mechanism, r)
+	}
+	fmt.Printf(rowFormat, system, r.Mechanism, fmt.Sprint(r.Invocations),
+		fmt.Sprintf("%.2f", r.AvgAlgCycles), fmt.Sprint(r.AppCycles),
+		"grant deadlock avoided, all tasks completed")
 }

@@ -93,6 +93,7 @@ type Unit struct {
 	cfg Config
 	av  *daa.Avoider
 	dd  *ddu.Unit
+	mx  *rag.Matrix // reusable image of the candidate graph for the DDU load
 
 	stepsThisCmd int
 	// Cumulative instrumentation.
@@ -117,7 +118,7 @@ func New(cfg Config) (*Unit, error) {
 	if err != nil {
 		return nil, err
 	}
-	u := &Unit{cfg: cfg, av: av, dd: dd}
+	u := &Unit{cfg: cfg, av: av, dd: dd, mx: rag.NewMatrix(cfg.Resources, cfg.Procs)}
 	av.SetDetector(u.hardwareDetect)
 	return u, nil
 }
@@ -125,7 +126,8 @@ func New(cfg Config) (*Unit, error) {
 // hardwareDetect loads the candidate graph into the embedded DDU and runs a
 // detection pass, charging its steps to the current command.
 func (u *Unit) hardwareDetect(g *rag.Graph) bool {
-	if err := u.dd.Load(g.Matrix()); err != nil {
+	g.MatrixInto(u.mx)
+	if err := u.dd.Load(u.mx); err != nil {
 		panic("dau: internal ddu size mismatch: " + err.Error())
 	}
 	res := u.dd.Detect()

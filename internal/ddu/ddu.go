@@ -6,8 +6,10 @@
 // Three views of the unit are provided:
 //
 //   - Unit: a functional, step-counted model used inside the MPSoC
-//     simulation.  Its word-parallel evaluation is bit-exact with Equations
-//     3–7 of the paper.
+//     simulation.  The DDU is PDDA in hardware (Equations 3–7), so the unit
+//     reduces its matrix through PDDA's word-parallel engine
+//     (pdda.DetectInto); only the step count (HardwareSteps) is
+//     hardware-specific.  RTLModel is the independent structural oracle.
 //   - Generate: a Verilog generator emitting the structural description the
 //     δ framework's GUI tool would produce (one instance line per matrix
 //     cell, as in the original generator, so the lines-of-Verilog metric is
@@ -19,6 +21,7 @@ import (
 	"fmt"
 
 	"deltartos/internal/gates"
+	"deltartos/internal/pdda"
 	"deltartos/internal/rag"
 	"deltartos/internal/verilog"
 )
@@ -51,6 +54,8 @@ type Unit struct {
 	cfg    Config
 	mx     *rag.Matrix
 	faults []Fault
+	sc     pdda.Scratch
+	stuck  *rag.Matrix // the faulted image Detect reads while faults are injected
 
 	// cumulative instrumentation
 	Detections int
@@ -82,93 +87,50 @@ func (u *Unit) ClearCell(s, t int) { u.mx.Set(s, t, rag.None) }
 
 // Load replaces the whole matrix.  A matrix smaller than the unit embeds in
 // the top-left corner with the spare cells zero (the paper's experiments
-// run 4-process systems on a 5x5 DDU); a larger matrix is an error.
+// run 4-process systems on a 5x5 DDU); a larger matrix is an error.  The
+// cells are written into the unit's own matrix, so the caller keeps mx.
 func (u *Unit) Load(mx *rag.Matrix) error {
 	if mx.M > u.cfg.Resources || mx.N > u.cfg.Procs {
 		return fmt.Errorf("ddu: matrix %dx%d does not fit unit %dx%d",
 			mx.M, mx.N, u.cfg.Resources, u.cfg.Procs)
 	}
 	if mx.M == u.cfg.Resources && mx.N == u.cfg.Procs {
-		u.mx = mx.Clone()
+		u.mx.CopyFrom(mx)
 		return nil
 	}
-	fresh := rag.NewMatrix(u.cfg.Resources, u.cfg.Procs)
+	for s := 0; s < u.mx.M; s++ {
+		u.mx.ClearRow(s)
+	}
 	for s := 0; s < mx.M; s++ {
 		for t := 0; t < mx.N; t++ {
 			if c := mx.Get(s, t); c != rag.None {
-				fresh.Set(s, t, c)
+				u.mx.Set(s, t, c)
 			}
 		}
 	}
-	u.mx = fresh
 	return nil
 }
 
 // Detect runs the hardware algorithm on a snapshot of the current matrix and
 // returns the decision.  The internal matrix is not consumed: the real DDU
-// also keeps its cells, re-evaluating weights combinationally.
+// also keeps its cells, re-evaluating weights combinationally.  The
+// reduction is PDDA's (one iteration per parallel clear of all terminal rows
+// and columns); the unit adds only the hardware step count.
 func (u *Unit) Detect() Result {
-	work := u.mx.Clone()
-	u.applyFaults(work)
-	k := reduceWordParallel(work)
+	src := u.mx
+	if len(u.faults) > 0 {
+		src = u.faulted()
+	}
+	deadlock, stats := pdda.DetectInto(&u.sc, src)
+	k := stats.Iterations
 	res := Result{
-		Deadlock:   !work.Empty(),
+		Deadlock:   deadlock,
 		Iterations: k,
 		Steps:      HardwareSteps(k),
 	}
 	u.Detections++
 	u.TotalSteps += res.Steps
 	return res
-}
-
-// reduceWordParallel is the hardware evaluation loop: per iteration it forms
-// the row and column BWO/XOR weight planes with whole-word boolean operations
-// (Equations 3–4), tests T_iter (Equation 5) and clears all terminal lines at
-// once.  It returns the number of reduction iterations.
-func reduceWordParallel(mx *rag.Matrix) int {
-	k := 0
-	words := mx.Words()
-	for {
-		// Column weights, all columns at once (packed planes).
-		colReq, colGrant := mx.ColumnSummaries()
-		colTau := make([]uint64, words)
-		anyTerm := false
-		for w := 0; w < words; w++ {
-			colTau[w] = colReq[w] ^ colGrant[w]
-			if colTau[w] != 0 {
-				anyTerm = true
-			}
-		}
-		// Row weights.
-		rowTau := make([]bool, mx.M)
-		for s := 0; s < mx.M; s++ {
-			anyReq, anyGrant := mx.RowSummary(s)
-			rowTau[s] = anyReq != anyGrant
-			if rowTau[s] {
-				anyTerm = true
-			}
-		}
-		if !anyTerm { // T_iter == 0
-			return k
-		}
-		// Parallel clear of all terminal rows and columns.
-		for s := 0; s < mx.M; s++ {
-			if rowTau[s] {
-				mx.ClearRow(s)
-			}
-		}
-		for w := 0; w < words; w++ {
-			for b := uint(0); b < 64; b++ {
-				if colTau[w]>>b&1 == 1 {
-					t := w*64 + int(b)
-					if t < mx.N {
-						mx.ClearColumn(t)
-					}
-				}
-			}
-		}
-		k++
-	}
 }
 
 // HardwareSteps converts reduction iterations into DDU clock steps.  The unit

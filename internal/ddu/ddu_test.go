@@ -77,6 +77,27 @@ func TestDetectPreservesMatrix(t *testing.T) {
 	if !u.Matrix().Equal(before) {
 		t.Error("Detect consumed the matrix")
 	}
+
+	// A faulted unit evaluates its stuck cells on a private image: the true
+	// matrix (what CrossCheck's software side reads) is left as it was.
+	// With q2 held by p2, cell (q1, p2) stuck at request closes the cycle
+	// p1 -> q2 -> p2 -> q1 -> p1 inside the unit only.
+	u.SetGrant(1, 1)
+	before = u.Matrix().Clone()
+	healthy := u.Detect()
+	if err := u.InjectFault(0, 1, rag.Request); err != nil {
+		t.Fatal(err)
+	}
+	if faulty := u.Detect(); faulty.Deadlock == healthy.Deadlock {
+		t.Fatalf("stuck-at fault did not change the verdict (%v)", faulty.Deadlock)
+	}
+	if !u.Matrix().Equal(before) {
+		t.Errorf("faulted Detect wrote its stuck cells into the matrix:\n%s", u.Matrix())
+	}
+	u.ClearFaults()
+	if res := u.Detect(); res != healthy {
+		t.Errorf("after ClearFaults: %+v, healthy unit gave %+v", res, healthy)
+	}
 }
 
 func TestLoadSizeCheck(t *testing.T) {
@@ -86,6 +107,37 @@ func TestLoadSizeCheck(t *testing.T) {
 	}
 	if err := u.Load(rag.NewMatrix(4, 4)); err != nil {
 		t.Errorf("Load rejected correct size: %v", err)
+	}
+}
+
+// Load writes into the unit's matrix in place, so a smaller matrix loaded
+// after a full one must clear every cell outside its corner.
+func TestLoadSmallerClearsOutsideCorner(t *testing.T) {
+	u := mustNew(t, 5, 5)
+	full := rag.NewMatrix(5, 5)
+	for s := 0; s < 5; s++ {
+		for t := 0; t < 5; t++ {
+			full.Set(s, t, rag.Request)
+		}
+		full.Set(s, s, rag.Grant)
+	}
+	if err := u.Load(full); err != nil {
+		t.Fatal(err)
+	}
+	small := rag.CycleGraph(4, 4, 2).Matrix()
+	if err := u.Load(small); err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < 5; s++ {
+		for c := 0; c < 5; c++ {
+			want := rag.None
+			if s < 4 && c < 4 {
+				want = small.Get(s, c)
+			}
+			if got := u.Matrix().Get(s, c); got != want {
+				t.Errorf("cell (%d,%d) = %v after the 4x4 load, want %v", s, c, got, want)
+			}
+		}
 	}
 }
 

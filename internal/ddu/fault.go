@@ -41,11 +41,18 @@ func (u *Unit) ClearFaults() { u.faults = nil }
 // Faults returns the active fault list.
 func (u *Unit) Faults() []Fault { return append([]Fault(nil), u.faults...) }
 
-// applyFaults overrides faulty cells on a working matrix.
-func (u *Unit) applyFaults(mx *rag.Matrix) {
-	for _, f := range u.faults {
-		mx.Set(f.Row, f.Col, f.Stuck)
+// faulted returns the matrix the faulty unit actually evaluates: a
+// unit-owned copy of the true matrix with every stuck cell overridden, so
+// the true matrix (which CrossCheck's software side reads) stays intact.
+func (u *Unit) faulted() *rag.Matrix {
+	if u.stuck == nil {
+		u.stuck = rag.NewMatrix(u.mx.M, u.mx.N)
 	}
+	u.stuck.CopyFrom(u.mx)
+	for _, f := range u.faults {
+		u.stuck.Set(f.Row, f.Col, f.Stuck)
+	}
+	return u.stuck
 }
 
 // CrossCheckResult reports one golden-check run.

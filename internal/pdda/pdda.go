@@ -13,7 +13,9 @@
 // sweeps whole []uint64 word groups per step — terminal rows via packed row
 // summaries, terminal columns via one XOR of the column BWO planes, column
 // clearing via one AND-NOT sweep per row — and, through Scratch/DetectInto,
-// performs zero allocations per detection scan.  The per-cell engine
+// performs zero allocations per detection scan.  It is also the DDU's
+// reduction: ddu.Unit.Detect runs DetectInto on a scratch the unit owns and
+// converts the step count k into hardware steps.  The per-cell engine
 // (cells.go) walks the matrix one Get/Set at a time and serves as the
 // differential oracle and benchmark baseline.  Stats counts the ABSTRACT
 // cell operations of the paper's software model in both engines (counted,
