@@ -539,15 +539,18 @@ func BenchmarkChaosCampaign(b *testing.B) {
 // ---- Deltalint: full-module static analysis ----
 
 // BenchmarkDeltalint runs every analysis pass over the whole module, the
-// same work `make lint` does.  The load is measured too (it dominates a cold
-// run), so one iteration is one end-to-end lint; the CI budget for the whole
-// thing is well under 30s.
+// same work `make lint` does.  The load is measured too, so one iteration
+// is one end-to-end lint; load-ms/op and passes-ms/op split its host time
+// between the loader and the ten passes.
 func BenchmarkDeltalint(b *testing.B) {
+	var load, run time.Duration
 	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
 		pkgs, err := framework.LoadModule(".", "./...")
 		if err != nil {
 			b.Fatal(err)
 		}
+		t1 := time.Now()
 		diags, err := framework.Run(pkgs, passes.All())
 		if err != nil {
 			b.Fatal(err)
@@ -555,17 +558,25 @@ func BenchmarkDeltalint(b *testing.B) {
 		if len(diags) != 0 {
 			b.Fatalf("lint tree not clean: %d finding(s), first: %s", len(diags), diags[0].Message)
 		}
+		load += t1.Sub(t0)
+		run += time.Since(t1)
 	}
+	perOpMs := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) / float64(b.N) }
+	b.ReportMetric(perOpMs(load), "load-ms/op")
+	b.ReportMetric(perOpMs(run), "passes-ms/op")
 }
 
 // TestDeltalintTimeBudget guards `make lint`'s wall clock: one full-module
 // lint (load plus all ten passes, the BenchmarkDeltalint body) must finish
 // inside DELTALINT_BUDGET_MS, defaulting to 3400 ms — roughly twice the
 // pre-summary-engine seed time — so the interprocedural layer cannot
-// quietly regress the merge gate.  Override the budget via the environment
-// on slower machines.  Race-detector builds multiply the budget by 6:
-// the instrumentation slows type-checking and the passes several-fold,
-// and the budget guards the uninstrumented merge gate, not -race runs.
+// quietly regress the merge gate.  The load alone must finish inside 30% of
+// that budget (1020 ms by default), so a loader regression fails under its
+// own name rather than as a slow lint.  Override the budget via the
+// environment on slower machines; the load bound scales with it.
+// Race-detector builds multiply the budget by 6: the instrumentation slows
+// type-checking and the passes several-fold, and the budget guards the
+// uninstrumented merge gate, not -race runs.
 func TestDeltalintTimeBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock budget is not meaningful under -short")
@@ -581,10 +592,14 @@ func TestDeltalintTimeBudget(t *testing.T) {
 		}
 		budget = time.Duration(ms) * time.Millisecond
 	}
+	loadBudget := budget * 3 / 10
 	start := time.Now()
 	pkgs, err := framework.LoadModule(".", "./...")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if load := time.Since(start); load > loadBudget {
+		t.Errorf("framework loader took %v for the full module, over its %v bound (30%% of the deltalint budget)", load, loadBudget)
 	}
 	diags, err := framework.Run(pkgs, passes.All())
 	if err != nil {

@@ -1,15 +1,19 @@
 package framework
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -41,23 +45,37 @@ type Config struct {
 	IncludeTests bool
 }
 
-// loader resolves and type-checks packages on demand.  Module-internal
-// imports are checked from source in dependency order; everything else
-// (the standard library) is delegated to go/importer's source importer.
+// loader loads a tree in three steps.  It parses every tree package
+// reachable from the requested paths once, collecting the imports that
+// fall outside the tree (the standard library).  One `go list -export`
+// resolves those to the toolchain's compiler export data, which
+// go/importer's "gc" importer reads.  Finally it type-checks the tree
+// packages from the parsed files in dependency order.  Nothing beyond the
+// go command and the standard library is needed.
 type loader struct {
 	cfg      Config
 	fset     *token.FileSet
 	std      types.ImporterFrom
+	parsed   map[string]*parsedPkg
+	external map[string]bool
 	pkgs     map[string]*Package
 	checking map[string]bool
 }
 
+// parsedPkg is one tree package's directory and parsed files, or the error
+// that reading them hit; the error surfaces when the package is imported.
+type parsedPkg struct {
+	dir   string
+	files []*ast.File
+	err   error
+}
+
 func newLoader(cfg Config) *loader {
-	fset := token.NewFileSet()
 	return &loader{
 		cfg:      cfg,
-		fset:     fset,
-		std:      importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		fset:     token.NewFileSet(),
+		parsed:   map[string]*parsedPkg{},
+		external: map[string]bool{},
 		pkgs:     map[string]*Package{},
 		checking: map[string]bool{},
 	}
@@ -104,6 +122,12 @@ func Load(cfg Config, patterns ...string) ([]*Package, error) {
 	ld := newLoader(cfg)
 	paths, err := ld.expand(patterns)
 	if err != nil {
+		return nil, err
+	}
+	for _, path := range paths {
+		ld.parse(path)
+	}
+	if err := ld.resolve(); err != nil {
 		return nil, err
 	}
 	var out []*Package
@@ -233,41 +257,32 @@ func (ld *loader) dirForPath(path string) string {
 	return ""
 }
 
-// Import implements types.Importer.
-func (ld *loader) Import(path string) (*types.Package, error) {
-	return ld.ImportFrom(path, "", 0)
-}
-
-// ImportFrom implements types.ImporterFrom: tree-internal packages are
-// checked from source, everything else falls through to the stdlib source
-// importer.
-func (ld *loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	return ld.importPath(path)
-}
-
-func (ld *loader) importPath(path string) (*types.Package, error) {
-	if pkg, ok := ld.pkgs[path]; ok {
-		return pkg.Types, nil
+// parse reads the tree package at path and, depth first in import order,
+// every tree package it imports; imports outside the tree are collected
+// for resolve.
+func (ld *loader) parse(path string) {
+	if ld.parsed[path] != nil || ld.external[path] {
+		return
 	}
 	dir := ld.dirForPath(path)
 	if dir == "" {
-		return ld.std.ImportFrom(path, "", 0)
+		ld.external[path] = true
+		return
 	}
-	if ld.checking[path] {
-		return nil, fmt.Errorf("import cycle through %s", path)
+	p := &parsedPkg{dir: dir}
+	ld.parsed[path] = p
+	p.files, p.err = ld.parseDir(dir)
+	for _, f := range p.files {
+		for _, spec := range f.Imports {
+			if imp, err := strconv.Unquote(spec.Path.Value); err == nil {
+				ld.parse(imp)
+			}
+		}
 	}
-	ld.checking[path] = true
-	defer delete(ld.checking, path)
-	pkg, err := ld.check(path, dir)
-	if err != nil {
-		return nil, err
-	}
-	ld.pkgs[path] = pkg
-	return pkg.Types, nil
 }
 
-// check parses and type-checks one directory as one package.
-func (ld *loader) check(path, dir string) (*Package, error) {
+// parseDir parses one directory's files of one package.
+func (ld *loader) parseDir(dir string) ([]*ast.File, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -303,6 +318,80 @@ func (ld *loader) check(path, dir string) (*Package, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("no buildable Go files in %s", dir)
 	}
+	return files, nil
+}
+
+// resolve lists the export data of every import outside the tree, and of
+// their dependencies, with one `go list` run in RootDir, and points the
+// "gc" importer at it.  A path that go list cannot find gets no export
+// data, so importing it becomes a type error in the importing package.
+func (ld *loader) resolve() error {
+	exports := map[string]string{}
+	if len(ld.external) > 0 {
+		paths := make([]string, 0, len(ld.external))
+		for p := range ld.external {
+			paths = append(paths, p)
+		}
+		sort.Strings(paths)
+		args := append([]string{"list", "-e", "-deps", "-export", "-f", "{{.ImportPath}} {{.Export}}"}, paths...)
+		cmd := exec.Command("go", args...)
+		cmd.Dir = ld.cfg.RootDir
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			return fmt.Errorf("framework: go list: %v: %s", err, bytes.TrimSpace(stderr.Bytes()))
+		}
+		for _, line := range strings.Split(string(out), "\n") {
+			if path, file, ok := strings.Cut(line, " "); ok && file != "" {
+				exports[path] = file
+			}
+		}
+	}
+	ld.std = importer.ForCompiler(ld.fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("go list found no export data for %s", path)
+		}
+		return os.Open(file)
+	}).(types.ImporterFrom)
+	return nil
+}
+
+// Import implements types.Importer.
+func (ld *loader) Import(path string) (*types.Package, error) {
+	return ld.ImportFrom(path, "", 0)
+}
+
+// ImportFrom implements types.ImporterFrom: tree packages are checked from
+// their parsed files, everything else is read from export data.
+func (ld *loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	return ld.importPath(path)
+}
+
+func (ld *loader) importPath(path string) (*types.Package, error) {
+	if pkg, ok := ld.pkgs[path]; ok {
+		return pkg.Types, nil
+	}
+	p := ld.parsed[path]
+	if p == nil {
+		return ld.std.ImportFrom(path, "", 0)
+	}
+	if p.err != nil {
+		return nil, p.err
+	}
+	if ld.checking[path] {
+		return nil, fmt.Errorf("import cycle through %s", path)
+	}
+	ld.checking[path] = true
+	defer delete(ld.checking, path)
+	pkg := ld.check(path, p)
+	ld.pkgs[path] = pkg
+	return pkg.Types, nil
+}
+
+// check type-checks one parsed package.
+func (ld *loader) check(path string, p *parsedPkg) *Package {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -311,13 +400,11 @@ func (ld *loader) check(path, dir string) (*Package, error) {
 		Implicits:  map[ast.Node]types.Object{},
 		Scopes:     map[ast.Node]*types.Scope{},
 	}
-	pkg := &Package{PkgPath: path, Dir: dir, Fset: ld.fset, TypesInfo: info}
+	pkg := &Package{PkgPath: path, Dir: p.dir, Fset: ld.fset, Syntax: p.files, TypesInfo: info}
 	conf := types.Config{
 		Importer: ld,
 		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
 	}
-	tpkg, _ := conf.Check(path, ld.fset, files, info)
-	pkg.Syntax = files
-	pkg.Types = tpkg
-	return pkg, nil
+	pkg.Types, _ = conf.Check(path, ld.fset, p.files, info)
+	return pkg
 }

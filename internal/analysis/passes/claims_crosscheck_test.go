@@ -14,17 +14,7 @@ import (
 // pass can see.
 func loadAppManifest(t *testing.T) *claims.Manifest {
 	t.Helper()
-	pkgs, err := framework.LoadModule(".", "deltartos/internal/app")
-	if err != nil {
-		t.Fatalf("load internal/app: %v", err)
-	}
-	if len(pkgs) != 1 {
-		t.Fatalf("loaded %d packages, want 1", len(pkgs))
-	}
-	for _, terr := range pkgs[0].TypeErrors {
-		t.Fatalf("internal/app: type error: %v", terr)
-	}
-	diags, res, err := framework.RunAnalyzer(pkgs[0], Claims())
+	diags, res, err := framework.RunAnalyzer(loadApp(t), Claims())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +143,8 @@ func TestBankerFromManifestAvoidsDeadlock(t *testing.T) {
 // preserving the Figure 20 structure (task_1 and task_3 each blocked by one
 // lower-priority critical section; nothing blocks the lowest-priority task).
 func TestCeilingPassValidatesRobotIPCP(t *testing.T) {
-	pkgs, err := framework.LoadModule(".", "deltartos/internal/app")
-	if err != nil {
-		t.Fatalf("load internal/app: %v", err)
-	}
-	diags, res, err := framework.RunAnalyzer(pkgs[0], Ceiling())
+	pkg := loadApp(t)
+	diags, res, err := framework.RunAnalyzer(pkg, Ceiling())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +180,7 @@ func TestCeilingPassValidatesRobotIPCP(t *testing.T) {
 	// highest-priority lock users are each blocked by a lower-priority
 	// critical section under a dominated ceiling; nothing can block the
 	// lowest-priority task).
-	_, bres, err := framework.RunAnalyzer(pkgs[0], Blocking())
+	_, bres, err := framework.RunAnalyzer(pkg, Blocking())
 	if err != nil {
 		t.Fatal(err)
 	}

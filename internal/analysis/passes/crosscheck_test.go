@@ -3,27 +3,45 @@ package passes
 import (
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"deltartos/internal/analysis/framework"
 	"deltartos/internal/app"
 )
 
+// appLoad is the real internal/app package, loaded once per test binary and
+// shared read-only by every cross-check test.
+var appLoad struct {
+	once sync.Once
+	pkgs []*framework.Package
+	err  error
+}
+
+// loadApp returns the loaded internal/app package, failing the test unless
+// it loaded as exactly one package without type errors.
+func loadApp(t *testing.T) *framework.Package {
+	t.Helper()
+	appLoad.once.Do(func() {
+		appLoad.pkgs, appLoad.err = framework.LoadModule(".", "deltartos/internal/app")
+	})
+	if appLoad.err != nil {
+		t.Fatalf("load internal/app: %v", appLoad.err)
+	}
+	if len(appLoad.pkgs) != 1 {
+		t.Fatalf("loaded %d packages, want 1", len(appLoad.pkgs))
+	}
+	for _, terr := range appLoad.pkgs[0].TypeErrors {
+		t.Fatalf("internal/app: type error: %v", terr)
+	}
+	return appLoad.pkgs[0]
+}
+
 // loadAppCycles runs the lockorder pass over the real internal/app sources
 // and returns its cycle report grouped by scenario function.
 func loadAppCycles(t *testing.T) map[string][]LockCycle {
 	t.Helper()
-	pkgs, err := framework.LoadModule(".", "deltartos/internal/app")
-	if err != nil {
-		t.Fatalf("load internal/app: %v", err)
-	}
-	if len(pkgs) != 1 {
-		t.Fatalf("loaded %d packages, want 1", len(pkgs))
-	}
-	for _, terr := range pkgs[0].TypeErrors {
-		t.Fatalf("internal/app: type error: %v", terr)
-	}
-	_, res, err := framework.RunAnalyzer(pkgs[0], LockOrder())
+	_, res, err := framework.RunAnalyzer(loadApp(t), LockOrder())
 	if err != nil {
 		t.Fatal(err)
 	}
